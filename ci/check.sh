@@ -2,10 +2,11 @@
 # Local CI gate: build Release and Debug+sanitizers, run the full test suite
 # in both, run the fault-injection suites (fault + stream + recover
 # failpoints) and an $EMBER_FAILPOINTS env smoke under ASan, run the
-# concurrency suites under ThreadSanitizer (serve/fault/router/stream/
-# recover repeated until-fail:3), prove the -DEMBER_FAILPOINTS_ENABLED=OFF
-# build, then smoke-run the micro-benchmarks and the serving/resilience/
-# observability/streaming/recovery benches on the Release build
+# concurrency suites under ThreadSanitizer (batcher/serve/fault/router/
+# stream/recover repeated until-fail:3), prove the
+# -DEMBER_FAILPOINTS_ENABLED=OFF build, then smoke-run the micro-benchmarks
+# and the serving/resilience/observability/streaming/recovery benches on the
+# Release build
 # (stream-dedup holds an incremental-F1 floor; the recovery drill must
 # converge, and must fail closed with recover/replay armed), run the
 # workload-harness smokes (trace-record byte-identity, trace-replay digest
@@ -42,11 +43,11 @@ run_config build-asan -DCMAKE_BUILD_TYPE=Debug -DEMBER_SANITIZE=ON -DEMBER_FAILP
 # Fault-injection leg: the fault suite (failpoints, retries, breaker,
 # degraded mode, hot reload, the exhaustive corruption sweep) plus the
 # stream suite (delta-insert/tombstone/compaction failpoints, compacted-
-# snapshot corruption sweep) under ASan so every injected error path is
-# also leak/UB-clean, plus an env-spec smoke proving $EMBER_FAILPOINTS
-# reaches the engine through the CLI.
+# snapshot corruption sweep) and the batcher front-end contract suite under
+# ASan so every injected error path is also leak/UB-clean, plus an env-spec
+# smoke proving $EMBER_FAILPOINTS reaches the engine through the CLI.
 echo "==> fault-injection suites under ASan"
-(cd build-asan && ctest --output-on-failure -R '^(fault|stream|recover|load)_test$')
+(cd build-asan && ctest --output-on-failure -R '^(batcher|fault|stream|recover|load)_test$')
 echo "==> EMBER_FAILPOINTS env smoke"
 # A malformed spec must refuse to start.
 EMBER_FAILPOINTS="not a valid spec" \
@@ -77,10 +78,10 @@ EMBER_FAILPOINTS="snapshot/save=error:io" \
 echo "==> configure build-tsan (EMBER_SANITIZE=tsan)"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DEMBER_SANITIZE=tsan >/dev/null
 echo "==> build build-tsan"
-cmake --build build-tsan -j "${JOBS}" --target parallel_test serve_test fault_test determinism_test obs_test router_test stream_test recover_test load_test
-echo "==> ctest build-tsan (parallel/determinism once; serve/fault/router/stream/recover/load x3)"
+cmake --build build-tsan -j "${JOBS}" --target parallel_test batcher_test serve_test fault_test determinism_test obs_test router_test stream_test recover_test load_test
+echo "==> ctest build-tsan (parallel/determinism once; batcher/serve/fault/router/stream/recover/load x3)"
 (cd build-tsan && ctest --output-on-failure -R '^(parallel|determinism)_test$')
-(cd build-tsan && ctest --output-on-failure --repeat until-fail:3 -R '^(serve|fault|obs|router|stream|recover|load)_test$')
+(cd build-tsan && ctest --output-on-failure --repeat until-fail:3 -R '^(batcher|serve|fault|obs|router|stream|recover|load)_test$')
 
 # Coverage leg: Debug + gcov, run the obs/serve/stream/la suites, and hold
 # the line on the subsystems this repo treats as infrastructure — src/obs,
@@ -91,10 +92,10 @@ echo "==> ctest build-tsan (parallel/determinism once; serve/fault/router/stream
 echo "==> configure build-cov (EMBER_COVERAGE=ON)"
 cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug -DEMBER_COVERAGE=ON >/dev/null
 echo "==> build build-cov"
-cmake --build build-cov -j "${JOBS}" --target obs_test serve_test fault_test la_test index_test router_test stream_test recover_test load_test
-echo "==> ctest build-cov (obs/serve/fault/la/index/router/stream/recover/load) + coverage floor"
+cmake --build build-cov -j "${JOBS}" --target obs_test batcher_test serve_test fault_test la_test index_test router_test stream_test recover_test load_test
+echo "==> ctest build-cov (obs/batcher/serve/fault/la/index/router/stream/recover/load) + coverage floor"
 (cd build-cov && find . -name '*.gcda' -delete && \
-  ctest --output-on-failure -R '^(obs|serve|fault|la|index|router|stream|recover|load)_test$')
+  ctest --output-on-failure -R '^(obs|batcher|serve|fault|la|index|router|stream|recover|load)_test$')
 python3 - <<'PYEOF'
 import glob, re, subprocess, sys
 floor = 85.0

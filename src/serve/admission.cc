@@ -7,16 +7,6 @@
 
 namespace ember::serve {
 
-const char* QueuePolicyName(QueuePolicy policy) {
-  switch (policy) {
-    case QueuePolicy::kEdf:
-      return "edf";
-    case QueuePolicy::kFifo:
-      return "fifo";
-  }
-  return "unknown";
-}
-
 TokenBucket::TokenBucket(double rate_per_sec, double burst)
     : rate_per_sec_(rate_per_sec < 0 ? 0 : rate_per_sec),
       burst_(burst < 1 ? 1 : burst),
@@ -62,16 +52,25 @@ Status AdmissionController::Admit(const std::string& tenant, SteadyTime now) {
   return Status::Ok();
 }
 
+namespace {
+
+const std::string& LedgerKey(const std::string& tenant) {
+  static const std::string kDefault = "default";
+  return tenant.empty() ? kDefault : tenant;
+}
+
+}  // namespace
+
 void TenantLedger::Record(const std::string& tenant, Event event) {
   std::lock_guard<std::mutex> lock(mu_);
-  slots_[tenant].counts[static_cast<uint32_t>(event)]++;
+  slots_[LedgerKey(tenant)].counts[static_cast<uint32_t>(event)]++;
 }
 
 void TenantLedger::RecordLatency(const std::string& tenant, double micros) {
   LatencyHistogram* histogram = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    histogram = slots_[tenant].total_micros.get();
+    histogram = slots_[LedgerKey(tenant)].total_micros.get();
   }
   // LatencyHistogram is internally lock-free; record outside the map lock.
   histogram->Record(micros);
@@ -83,7 +82,7 @@ std::vector<TenantCounters> TenantLedger::Snapshot() const {
   out.reserve(slots_.size());
   for (const auto& [tenant, slot] : slots_) {
     TenantCounters counters;
-    counters.tenant = tenant.empty() ? "default" : tenant;
+    counters.tenant = tenant;
     counters.submitted = slot.counts[0];
     counters.completed = slot.counts[1];
     counters.expired = slot.counts[2];
@@ -94,13 +93,7 @@ std::vector<TenantCounters> TenantLedger::Snapshot() const {
     counters.total_micros = slot.total_micros->Snapshot();
     out.push_back(std::move(counters));
   }
-  // std::map iterates sorted, but "" renders as "default" which may not
-  // sort where "" did; re-sort by the exported name.
-  std::sort(out.begin(), out.end(),
-            [](const TenantCounters& a, const TenantCounters& b) {
-              return a.tenant < b.tenant;
-            });
-  return out;
+  return out;  // std::map iterates sorted by tenant name
 }
 
 }  // namespace ember::serve

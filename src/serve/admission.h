@@ -29,11 +29,13 @@ namespace ember::serve {
 ///           baseline the workload bench compares EDF against).
 enum class QueuePolicy : uint32_t { kEdf = 0, kFifo = 1 };
 
-const char* QueuePolicyName(QueuePolicy policy);
-
-/// Per-submit options. The 2-arg Submit overloads remain for untenanted
-/// callers; this struct is the tenant-aware path.
+/// Per-submit options, the one trailing argument of every Engine/Router
+/// submit path. Implicitly constructible from a bare deadline, so
+/// Submit(record, deadline) reads as before.
 struct SubmitOptions {
+  SubmitOptions() = default;
+  SubmitOptions(SteadyTime deadline) : deadline(deadline) {}  // NOLINT
+
   SteadyTime deadline = kNoDeadline;
   /// Admission/accounting identity. Empty = the untenanted default tenant
   /// (exported under tenant="default", never quota-limited unless a quota
@@ -66,8 +68,6 @@ class TokenBucket {
 
   /// Takes one token at `now` (refilling first). False = over quota.
   bool TryAcquire(SteadyTime now);
-
-  double tokens() const { return tokens_; }
 
  private:
   double rate_per_sec_;
@@ -102,7 +102,7 @@ class AdmissionController {
 
 /// Point-in-time per-tenant accounting, exported with `{tenant=}` labels.
 struct TenantCounters {
-  std::string tenant;  // "" is exported as "default"
+  std::string tenant;  // untenanted ("") traffic is counted as "default"
   uint64_t submitted = 0;  // accepted into the queue
   uint64_t completed = 0;
   uint64_t expired = 0;
@@ -128,10 +128,13 @@ class TenantLedger {
     kDeadlineMiss = 6,
   };
 
+  /// Records under `tenant`, with untenanted ("") traffic keyed as
+  /// "default": a tenant literally named "default" shares that row, so the
+  /// export never holds two series with identical labels.
   void Record(const std::string& tenant, Event event);
   void RecordLatency(const std::string& tenant, double micros);
 
-  /// Sorted by tenant name; the "" tenant is renamed "default".
+  /// Sorted by tenant name.
   std::vector<TenantCounters> Snapshot() const;
 
  private:

@@ -2,13 +2,11 @@
 #define EMBER_SERVE_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/histogram.h"
@@ -19,6 +17,7 @@
 #include "index/neighbor.h"
 #include "recover/digest.h"
 #include "serve/admission.h"
+#include "serve/batcher.h"
 #include "serve/circuit_breaker.h"
 #include "serve/snapshot.h"
 #include "stream/live_corpus.h"
@@ -39,21 +38,9 @@ enum class Health : uint32_t {
 
 const char* HealthName(Health health);
 
-struct EngineOptions {
+struct EngineOptions : BatcherOptions {
   /// Per-query neighbor count; 0 uses the snapshot manifest's default_k.
   size_t k = 0;
-  /// Bounded queue capacity. A full queue REJECTS new submissions
-  /// immediately (backpressure) — Submit never blocks the caller.
-  size_t max_queue = 1024;
-  /// Batching policy: a worker drains as soon as `max_batch` requests are
-  /// queued, or when the oldest queued request has waited `max_wait_micros`,
-  /// whichever comes first. Larger windows amortize the embed/query batch
-  /// cost; smaller windows cut tail latency at low load.
-  size_t max_batch = 32;
-  int64_t max_wait_micros = 2000;
-  /// Batcher threads. Each drains whole batches, so >1 mainly helps when
-  /// embedding and index search can overlap on spare cores.
-  size_t workers = 1;
   /// Bounded attempts around the embed stage: transient failures back off
   /// (deterministic seeded jitter) and retry before the batch is failed.
   RetryPolicy embed_retry;
@@ -70,14 +57,6 @@ struct EngineOptions {
   /// and queries merge base + delta with tombstone filtering. OFF keeps the
   /// frozen-snapshot engine bit-for-bit unchanged.
   bool live = false;
-  /// Queue drain order (DESIGN.md §16). kEdf drains the most urgent queued
-  /// request first; deadline-free and equal-deadline requests keep arrival
-  /// order, so a workload without deadlines behaves exactly like kFifo.
-  QueuePolicy queue_policy = QueuePolicy::kEdf;
-  /// Per-tenant admission quotas. Empty (the default) disables the token
-  /// bucket gate entirely; tenants without a listed quota are never
-  /// throttled.
-  std::vector<TenantQuota> quotas;
 };
 
 /// A completed query: top-k corpus neighbors of the submitted record.
@@ -103,21 +82,11 @@ struct ResyncState {
   uint64_t upto_seq = 0;
 };
 
-/// Monotone counters + latency histograms, readable at any time. Counter
-/// identity: submitted == completed + expired + failed + still-in-flight
-/// (rejected and short_circuited submissions never enter the queue and are
-/// counted separately; retries/fallbacks/trips are rate counters, not part
-/// of the identity).
-struct EngineMetrics {
-  uint64_t submitted = 0;  // accepted into the queue
-  uint64_t completed = 0;  // future fulfilled with neighbors
-  uint64_t rejected = 0;   // refused at Submit (queue full / stopped)
-  uint64_t throttled = 0;  // refused at Submit by the token bucket (PR 10)
-  uint64_t expired = 0;    // shed before embedding (deadline passed)
-  uint64_t failed = 0;     // future fulfilled with a non-deadline error
-  uint64_t deadline_misses = 0;  // completed, but after their deadline
-  uint64_t batches = 0;
-
+/// Monotone counters + latency histograms, readable at any time. Upserts
+/// and deletes take part in the BatcherMetrics counter identity exactly
+/// like queries; short-circuited submits never enter the queue, and
+/// retries/fallbacks/trips are rate counters outside the identity.
+struct EngineMetrics : BatcherMetrics {
   // Resilience counters (PR 4).
   Health health = Health::kServing;
   uint64_t retries = 0;          // embed attempts beyond each batch's first
@@ -127,9 +96,8 @@ struct EngineMetrics {
   uint64_t reloads = 0;          // successful hot snapshot swaps
   uint64_t reload_failures = 0;  // rejected reloads (old snapshot kept)
 
-  // Streaming counters (PR 8). Upserts/deletes participate in the counter
-  // identity above exactly like queries (submitted -> completed/expired/
-  // failed); mutation_failures additionally breaks out the failed ones.
+  // Streaming counters; mutation_failures breaks out the failed
+  // upserts/deletes.
   uint64_t upserts = 0;              // mutations applied to the delta tier
   uint64_t deletes = 0;              // tombstones published
   uint64_t mutation_failures = 0;    // upserts/deletes refused fail-closed
@@ -137,18 +105,10 @@ struct EngineMetrics {
   uint64_t compaction_failures = 0;  // compactions rolled back
   uint64_t absorbs = 0;              // HNSW delta absorptions published
 
-  HistogramSnapshot queue_micros;  // submit -> drained from the queue
   HistogramSnapshot embed_micros;  // per batch: vectorization
   HistogramSnapshot query_micros;  // per batch: index search
   HistogramSnapshot mutate_micros;  // per batch: delta/tombstone application
   HistogramSnapshot postprocess_micros;  // per batch: reply assembly/futures
-  HistogramSnapshot total_micros;  // submit -> future completed
-  HistogramSnapshot batch_size;    // live requests per processed batch
-
-  /// Per-tenant breakdown (PR 10), sorted by tenant name; the untenanted
-  /// default path appears as tenant "default". Each tenant satisfies the
-  /// same counter identity as the engine-wide counters above.
-  std::vector<TenantCounters> tenants;
 };
 
 /// Long-lived online ER query engine in the inference-server style:
@@ -184,18 +144,11 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Non-blocking submit of one record. On acceptance returns the future
-  /// that will carry the top-k neighbors (or DeadlineExceeded if shed);
-  /// when the queue is full, the engine is stopped, or the circuit breaker
-  /// is open it returns Unavailable immediately — backpressure and
-  /// fail-fast are reported, never dropped.
+  /// that will carry the top-k neighbors (or DeadlineExceeded if shed).
+  /// Admission (DESIGN.md §9) runs the token bucket, the circuit breaker,
+  /// then the queue bound; a refusal is Unavailable at once, never dropped.
   Result<std::future<Result<QueryReply>>> Submit(
-      std::string record, SteadyTime deadline = kNoDeadline);
-
-  /// Tenant-aware submit (DESIGN.md §16): same admission rules as Submit
-  /// plus the per-tenant token bucket gate — an over-quota tenant gets
-  /// Unavailable immediately without enqueueing, counted as throttled.
-  Result<std::future<Result<QueryReply>>> Submit(std::string record,
-                                                 const SubmitOptions& opts);
+      std::string record, const SubmitOptions& opts = {});
 
   /// Non-blocking submit of one already-embedded query vector — the sharded
   /// Router's fan-out path (DESIGN.md §13): the router embeds a record once
@@ -204,10 +157,7 @@ class Engine {
   /// InvalidArgument when the vector's dimensionality does not match the
   /// engine's model.
   Result<std::future<Result<QueryReply>>> SubmitEmbedded(
-      std::vector<float> embedding, SteadyTime deadline = kNoDeadline);
-
-  Result<std::future<Result<QueryReply>>> SubmitEmbedded(
-      std::vector<float> embedding, const SubmitOptions& opts);
+      std::vector<float> embedding, const SubmitOptions& opts = {});
 
   /// Live mode only: admits one record into the live corpus through the
   /// same micro-batcher as queries (embedded in the batch's embed stage,
@@ -215,26 +165,17 @@ class Engine {
   /// carries the global id the row was admitted under. Same admission rules
   /// as Submit; InvalidArgument when the engine is not live.
   Result<std::future<Result<MutateReply>>> Upsert(
-      std::string record, SteadyTime deadline = kNoDeadline);
-
-  Result<std::future<Result<MutateReply>>> Upsert(std::string record,
-                                                  const SubmitOptions& opts);
+      std::string record, const SubmitOptions& opts = {});
 
   /// Pre-embedded upsert (the Router's mutation fan-out path).
   Result<std::future<Result<MutateReply>>> UpsertEmbedded(
-      std::vector<float> embedding, SteadyTime deadline = kNoDeadline);
-
-  Result<std::future<Result<MutateReply>>> UpsertEmbedded(
-      std::vector<float> embedding, const SubmitOptions& opts);
+      std::vector<float> embedding, const SubmitOptions& opts = {});
 
   /// Live mode only: publishes a tombstone for `global_id` through the
   /// batcher. NotFound (via the future) when the id is unknown or already
   /// dead.
   Result<std::future<Result<MutateReply>>> Delete(
-      uint64_t global_id, SteadyTime deadline = kNoDeadline);
-
-  Result<std::future<Result<MutateReply>>> Delete(uint64_t global_id,
-                                                  const SubmitOptions& opts);
+      uint64_t global_id, const SubmitOptions& opts = {});
 
   /// Live mode only: rewrites base + delta − tombstones into a merged
   /// EMBS0002 snapshot at `path` and hot-swaps it in as the new base via
@@ -301,7 +242,7 @@ class Engine {
   /// The `engine=` label value this instance exports under in the global
   /// obs::Registry (engines self-register a metrics collector on Create
   /// and unregister on Stop).
-  const std::string& instance() const { return instance_; }
+  const std::string& instance() const { return batcher_.instance(); }
 
   /// The currently served snapshot, pinned: a reload may swap the engine
   /// past it, but the returned pointer stays valid for as long as the
@@ -324,43 +265,35 @@ class Engine {
     SteadyTime enqueued;
     /// Admission/accounting identity ("" = the default tenant).
     std::string tenant;
-    /// Arrival order, assigned under mu_ — the EDF heap's tie-breaker and
-    /// the kFifo ordering key.
+    /// Arrival order, assigned by the Batcher (the EDF tie-breaker).
     uint64_t seq = 0;
     /// Exactly one promise is armed, per kind.
     std::promise<Result<QueryReply>> promise;
     std::promise<Result<MutateReply>> mutate_promise;
-  };
 
-  /// Min-heap "greater" comparator over queued requests: under kEdf the
-  /// earliest deadline drains first (seq breaks ties, so deadline-free
-  /// traffic — every deadline == kNoDeadline — degenerates to arrival
-  /// order); under kFifo only seq matters.
-  struct RequestUrgency {
-    QueuePolicy policy;
-    bool operator()(const Request& a, const Request& b) const {
-      if (policy == QueuePolicy::kEdf && a.deadline != b.deadline) {
-        return a.deadline > b.deadline;
+    /// Settles the request with `status` through the promise its kind armed.
+    void Fail(const Status& status) {
+      if (kind == Kind::kQuery) {
+        promise.set_value(status);
+      } else {
+        mutate_promise.set_value(status);
       }
-      return a.seq > b.seq;
     }
   };
 
   Engine(Snapshot snapshot, std::shared_ptr<embed::EmbeddingModel> model,
          const EngineOptions& options);
 
-  void WorkerLoop();
-  void ProcessBatch(std::vector<Request> batch);
-  /// Common admission tail of Submit/SubmitEmbedded: token bucket (at
-  /// `admit_time`; kAdmitNow = the real clock), breaker gate, queue bound,
-  /// heap push + wake a worker.
-  Status Enqueue(Request request, SteadyTime admit_time);
-  /// Mutation-path admission: arms the mutate promise, refuses when the
-  /// engine is not live, then shares Enqueue.
+  /// The per-batch stages behind the Batcher: embed, mutate, query, reply.
+  void ProcessBatch(std::vector<Request>& live, uint64_t batch_no,
+                    const obs::SpanContext& batch_span);
+  /// Shared admission of every submit path: token bucket, then the breaker
+  /// gate, then the Batcher's stopped/queue-bound check and enqueue.
+  Status Enqueue(Request request, const SubmitOptions& opts);
+  /// Mutation-path admission: refuses when the engine is not live, arms the
+  /// mutate promise, then shares Enqueue.
   Result<std::future<Result<MutateReply>>> EnqueueMutation(
-      Request request, SteadyTime admit_time);
-  /// Fails one request through whichever promise its kind armed.
-  static void FailRequest(Request& request, const Status& status);
+      Request request, const SubmitOptions& opts);
   /// Validates a snapshot against the engine's embedding model (same checks
   /// as Create) — shared by Create and ReloadSnapshot.
   static Status CheckModelCompatible(const SnapshotManifest& manifest,
@@ -383,23 +316,7 @@ class Engine {
   EngineOptions options_;
   std::atomic<size_t> k_{10};
 
-  std::mutex mu_;
-  std::condition_variable queue_cv_;
-  /// Binary heap ordered by RequestUrgency (std::push_heap/pop_heap):
-  /// queue_.front() is always the next request to drain under the
-  /// configured policy.
-  std::vector<Request> queue_;
-  uint64_t queue_seq_ = 0;  // next arrival sequence number, under mu_
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-
-  std::string instance_;  // registry label, "0", "1", ... per process
-  uint64_t collector_id_ = 0;
-  std::atomic<bool> collector_registered_{false};
-
   CircuitBreaker breaker_;
-  AdmissionController admission_;
-  TenantLedger ledger_;
   std::mutex reload_mu_;  // serializes ReloadSnapshot callers
   std::mutex compaction_mu_;  // serializes Compact/Absorb/Resync callers
   /// Frozen-engine digest cache (live engines answer from the corpus).
@@ -409,16 +326,8 @@ class Engine {
   std::atomic<bool> reloading_{false};
   std::atomic<bool> degraded_{false};
 
-  // Counters are atomics (not guarded by mu_): Metrics() must stay cheap
-  // enough to call from a live load generator.
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> throttled_{0};
-  std::atomic<uint64_t> expired_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> deadline_misses_{0};
-  std::atomic<uint64_t> batches_{0};
+  // Counters are atomics: Metrics() must stay cheap enough to call from a
+  // live load generator.
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> fallbacks_{0};
   std::atomic<uint64_t> short_circuits_{0};
@@ -430,13 +339,13 @@ class Engine {
   std::atomic<uint64_t> compactions_{0};
   std::atomic<uint64_t> compaction_failures_{0};
   std::atomic<uint64_t> absorbs_{0};
-  LatencyHistogram queue_micros_;
   LatencyHistogram embed_micros_;
   LatencyHistogram query_micros_;
   LatencyHistogram mutate_micros_;
   LatencyHistogram postprocess_micros_;
-  LatencyHistogram total_micros_;
-  LatencyHistogram batch_size_;
+
+  /// The front end (declared last: destroyed, and so stopped, first).
+  Batcher<Request> batcher_;
 };
 
 }  // namespace ember::serve

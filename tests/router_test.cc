@@ -13,11 +13,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +58,7 @@ using serve::RouterOptions;
 using serve::RouterReply;
 using serve::Snapshot;
 using serve::SnapshotManifest;
+using serve::SubmitOptions;
 
 constexpr size_t kDim = 16;
 
@@ -509,6 +513,169 @@ TEST(Router, CreateFailsClosedOnIncoherentFleets) {
     EXPECT_FALSE(
         Router::Create(std::move(fleet.engines), other, options).ok());
   }
+  // Shard coordinates no loader validated: Engine::Create accepts these
+  // manifests, so the router must refuse them before using shard_id as an
+  // index.
+  const std::pair<uint32_t, uint32_t> bad_coordinates[] = {
+      {7, 2}, {100000, 2}, {0, 0}};
+  for (const auto& [shard_id, shard_count] : bad_coordinates) {
+    SnapshotManifest manifest = BaseManifest();
+    manifest.shard_id = shard_id;
+    manifest.shard_count = shard_count;
+    auto model = std::make_shared<HashModel>();
+    auto engine = Engine::Create(Snapshot::Build(manifest, TestCorpus(6)),
+                                 model, EngineOptions{});
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    std::vector<std::unique_ptr<Engine>> engines;
+    engines.push_back(std::move(engine).value());
+    auto created = Router::Create(std::move(engines), model, options);
+    ASSERT_FALSE(created.ok()) << shard_id << " of " << shard_count;
+    EXPECT_EQ(created.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(created.status().ToString().find("claims shard"),
+              std::string::npos)
+        << created.status().ToString();
+  }
+}
+
+/// HashModel that counts encodes and parks the embed stage on the sentence
+/// "hold" until Release(), pinning the router's single worker so a test
+/// can stage the queue behind it.
+class GatedModel : public HashModel {
+ public:
+  void EncodeInto(const std::string& sentence, float* out) const override {
+    encodes_.fetch_add(1);
+    if (sentence == "hold") {
+      std::unique_lock<std::mutex> lock(mu_);
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    HashModel::EncodeInto(sentence, out);
+  }
+
+  void WaitHeld() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_; });
+  }
+
+  void Release() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  size_t encodes() const { return encodes_.load(); }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool held_ = false;
+  mutable bool released_ = false;
+  mutable std::atomic<size_t> encodes_{0};
+};
+
+RouterOptions SingleFileRouter() {
+  RouterOptions options;
+  options.k = 5;
+  options.workers = 1;
+  options.max_batch = 1;
+  options.max_wait_micros = 0;
+  return options;
+}
+
+TEST(Router, FullQueueRefusesWithoutEnqueueing) {
+  Fleet fleet = MakeFleet(12, 2, 1);
+  auto model = std::make_shared<GatedModel>();
+  RouterOptions options = SingleFileRouter();
+  options.max_queue = 1;
+  auto router = Router::Create(std::move(fleet.engines), model, options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  // Released before the router stops, even when an assertion bails out.
+  struct ReleaseOnExit {
+    const GatedModel& model;
+    ~ReleaseOnExit() { model.Release(); }
+  } release{*model};
+
+  auto held = router.value()->Submit("hold");
+  ASSERT_TRUE(held.ok());
+  model->WaitHeld();
+  auto queued = router.value()->Submit("queued");
+  ASSERT_TRUE(queued.ok());
+  auto refused = router.value()->Submit("refused");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), Status::Code::kUnavailable);
+  EXPECT_NE(refused.status().ToString().find("queue full (1)"),
+            std::string::npos);
+  model->Release();
+  EXPECT_TRUE(held.value().get().ok());
+  EXPECT_TRUE(queued.value().get().ok());
+  router.value()->Stop();
+  const auto metrics = router.value()->Metrics();
+  EXPECT_EQ(metrics.submitted, 2u);
+  EXPECT_EQ(metrics.rejected, 1u);
+  EXPECT_EQ(metrics.completed, 2u);
+}
+
+TEST(Router, SubmitAfterStopIsRejectedNotDropped) {
+  Fleet fleet = MakeFleet(12, 2, 1);
+  auto router = Router::Create(std::move(fleet.engines), fleet.model,
+                               SingleFileRouter());
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  router.value()->Stop();
+  auto late = router.value()->Submit("late record");
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), Status::Code::kUnavailable);
+  EXPECT_NE(late.status().ToString().find("router is stopped"),
+            std::string::npos);
+  const auto metrics = router.value()->Metrics();
+  EXPECT_EQ(metrics.rejected, 1u);
+  EXPECT_EQ(metrics.submitted, 0u);
+}
+
+TEST(Router, OverQuotaTenantIsThrottledWithoutEnqueueing) {
+  Fleet fleet = MakeFleet(12, 2, 1);
+  RouterOptions options = SingleFileRouter();
+  options.quotas = {{"t", 0.0, 1.0}};  // one token, never refilled
+  auto router =
+      Router::Create(std::move(fleet.engines), fleet.model, options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  SubmitOptions submit;
+  submit.tenant = "t";
+  auto first = router.value()->Submit("first", submit);
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(first.value().get().ok());
+  auto second = router.value()->Submit("second", submit);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), Status::Code::kUnavailable);
+  router.value()->Stop();
+  const auto metrics = router.value()->Metrics();
+  EXPECT_EQ(metrics.throttled, 1u);
+  EXPECT_EQ(metrics.submitted, 1u);
+  EXPECT_EQ(metrics.completed, 1u);
+  ASSERT_EQ(metrics.tenants.size(), 1u);
+  EXPECT_EQ(metrics.tenants[0].tenant, "t");
+  EXPECT_EQ(metrics.tenants[0].throttled, 1u);
+  EXPECT_EQ(metrics.tenants[0].submitted, 1u);
+}
+
+TEST(Router, ExpiredRequestsAreShedBeforeEmbedding) {
+  Fleet fleet = MakeFleet(12, 2, 1);
+  auto model = std::make_shared<GatedModel>();
+  auto router = Router::Create(std::move(fleet.engines), model,
+                               SingleFileRouter());
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  auto late = router.value()->Submit(
+      "late", SteadyNow() - std::chrono::milliseconds(1));
+  ASSERT_TRUE(late.ok());
+  const Result<RouterReply> reply = late.value().get();
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), Status::Code::kDeadlineExceeded);
+  router.value()->Stop();
+  EXPECT_EQ(model->encodes(), 0u);  // shed before the embed-once stage
+  const auto metrics = router.value()->Metrics();
+  EXPECT_EQ(metrics.expired, 1u);
+  EXPECT_EQ(metrics.completed, 0u);
+  EXPECT_EQ(metrics.submitted, 1u);
 }
 
 TEST(Router, MatchesUnshardedOracleEndToEnd) {
