@@ -68,14 +68,17 @@ TEST_F(ThreadSweepTest, BatchTransformBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ThreadSweepTest, ExactQueryBatchBitIdenticalAcrossThreadCounts) {
-  const la::Matrix data = RandomUnitRows(500, 48, 1);
+  // 2600 rows = three corpus slabs (the last one partial), 97 queries =
+  // seven query tiles: 21 grid cells, claimed in a different order at
+  // every thread count.
+  const la::Matrix data = RandomUnitRows(2600, 48, 1);
   const la::Matrix queries = RandomUnitRows(97, 48, 2);
   index::ExactIndex idx;
   idx.Build(data);
 
   SetThreads(1);
   const auto reference = idx.QueryBatch(queries, 10);
-  for (const int threads : {2, 4}) {
+  for (const int threads : {2, 4, 8}) {
     SetThreads(threads);
     const auto batch = idx.QueryBatch(queries, 10);
     ASSERT_EQ(batch.size(), reference.size());
@@ -126,19 +129,24 @@ std::vector<index::Neighbor> NaiveTopK(const la::Matrix& data,
 }
 
 TEST_F(ThreadSweepTest, BlockedTopKMatchesNaiveScalarTopK) {
-  // Sizes straddle the kernel's data/query block boundaries.
-  for (const size_t n : {100ul, 256ul, 300ul}) {
+  // Sizes straddle the data-block (256), slab (1024) and query-tile (16)
+  // boundaries, so single- and multi-slab merges and partial tiles all run.
+  for (const size_t n : {100ul, 256ul, 300ul, 1023ul, 1024ul, 1025ul, 2600ul}) {
     const la::Matrix data = RandomUnitRows(n, 33, 5 + n);
-    const la::Matrix queries = RandomUnitRows(19, 33, 6 + n);
     index::ExactIndex idx;
     idx.Build(data);
-    const auto batch = idx.QueryBatch(queries, 10);
-    for (size_t q = 0; q < queries.rows(); ++q) {
-      const auto naive = NaiveTopK(data, queries.Row(q), 10);
-      ASSERT_EQ(batch[q].size(), naive.size());
-      for (size_t i = 0; i < naive.size(); ++i) {
-        EXPECT_EQ(batch[q][i].id, naive[i].id) << "n=" << n << " q=" << q;
-        EXPECT_EQ(batch[q][i].distance, naive[i].distance);
+    for (const size_t nq : {1ul, 16ul, 17ul, 19ul, 40ul}) {
+      const la::Matrix queries = RandomUnitRows(nq, 33, 6 + n + nq);
+      const auto batch = idx.QueryBatch(queries, 10);
+      ASSERT_EQ(batch.size(), nq);
+      for (size_t q = 0; q < nq; ++q) {
+        const auto naive = NaiveTopK(data, queries.Row(q), 10);
+        ASSERT_EQ(batch[q].size(), naive.size());
+        for (size_t i = 0; i < naive.size(); ++i) {
+          EXPECT_EQ(batch[q][i].id, naive[i].id)
+              << "n=" << n << " nq=" << nq << " q=" << q;
+          EXPECT_EQ(batch[q][i].distance, naive[i].distance);
+        }
       }
     }
   }

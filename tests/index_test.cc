@@ -12,6 +12,7 @@
 
 #include "common/binary_io.h"
 #include "common/rng.h"
+#include "guarded_panel.h"
 #include "proptest.h"
 #include "index/hnsw_index.h"
 #include "index/lsh_index.h"
@@ -197,10 +198,12 @@ TEST(ExactIndexPropertyTest, QuantizedTopKRecallAtLeast99Percent) {
 // and batched paths: same integer kernel results, same rescore, bit for
 // bit — parallel tiling is never allowed to change results.
 TEST(ExactIndexPropertyTest, QuantizedSingleQueryMatchesBatch) {
+  // Sizes run past 2 x 1024 rows, so the batch answer goes through the
+  // per-slab candidate lists and their merge ahead of the float rescore.
   proptest::Config config;
   config.cases = 40;
   config.min_size = 1;
-  config.max_size = 90;
+  config.max_size = 2600;
   proptest::ForAll("quantized Query == QueryBatch", config,
                    [](Rng& rng, size_t n) {
     const size_t cols = 4 + rng.Below(40);
@@ -288,6 +291,52 @@ TEST(ExactIndexTest, TiesBrokenByAscendingId) {
   EXPECT_EQ(neighbors[0].id, 0u);
   EXPECT_EQ(neighbors[1].id, 1u);
   EXPECT_EQ(neighbors[2].id, 2u);
+
+  // The same tie across the slab merge: row 1300 (second 1024-row slab)
+  // duplicates row 5 (first slab). Querying with row 1300 puts it first in
+  // its own slab's list, yet the merge must still rank id 5 ahead of it.
+  la::Matrix wide = RandomUnitRows(1500, 24, 31);
+  std::copy(wide.Row(5), wide.Row(5) + wide.cols(), wide.Row(1300));
+  ExactIndex big;
+  big.Build(wide);
+  const la::Matrix query = la::Matrix::View(wide.Row(1300), 1, wide.cols());
+  for (const size_t k : {1ul, 2ul, 3ul}) {
+    const auto batch = big.QueryBatch(query, k)[0];
+    const auto single = big.Query(wide.Row(1300), k);
+    ASSERT_EQ(batch.size(), k);
+    ASSERT_EQ(single.size(), k);
+    EXPECT_EQ(batch[0].id, 5u) << "k=" << k;
+    if (k >= 2) {
+      EXPECT_EQ(batch[1].id, 1300u);
+      EXPECT_EQ(batch[1].distance, batch[0].distance);
+    }
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(batch[i].id, single[i].id);
+      EXPECT_EQ(batch[i].distance, single[i].distance);
+    }
+  }
+}
+
+// The scan reads the caller's query rows in place. With the query matrix a
+// view whose last row ends at a PROT_NONE page, a 16-row tile at the end of
+// it is exactly the shape a GEMM over-read would fault on; the corpus spans
+// two slabs so the partial lists and their merge run too.
+TEST(ExactIndexTest, BruteForceReadsNoQueryRowPastTheEnd) {
+  const la::Matrix data = RandomUnitRows(1100, 768, 41);
+  for (const size_t nq : {16ul, 32ul}) {
+    const la::Matrix queries = RandomUnitRows(nq, 768, 42 + nq);
+    const testutil::GuardedPanel guarded(queries);
+    const auto batch = BruteForceTopK(data, guarded.View(), 10);
+    ASSERT_EQ(batch.size(), nq);
+    for (size_t q = 0; q < nq; ++q) {
+      const auto naive = NaiveTopK(data, queries.Row(q), 10);
+      ASSERT_EQ(batch[q].size(), naive.size());
+      for (size_t i = 0; i < naive.size(); ++i) {
+        EXPECT_EQ(batch[q][i].id, naive[i].id) << "nq=" << nq << " q=" << q;
+        EXPECT_EQ(batch[q][i].distance, naive[i].distance);
+      }
+    }
+  }
 }
 
 // HNSW metamorphic property: with k capped at ef_search, raising k only

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "guarded_panel.h"
 #include "la/matrix.h"
 #include "la/quantize.h"
 #include "proptest.h"
@@ -75,6 +76,36 @@ TEST(VectorOpsTest, GemmBtStridedMatchesDotOnHeadViews) {
           EXPECT_EQ(scores.At(i, j),
                     Dot(q.Row(i) + off, k.Row(j) + off, head_dim))
               << "head_dim=" << head_dim << " off=" << off;
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorOpsTest, GemmBtStridedStaysInsideGuardedPanels) {
+  // Each panel in turn (first `a`, then `b`) ends exactly at a PROT_NONE
+  // page, so a micro-kernel that loads past the last row faults here. The
+  // shapes straddle the 8x2 register block and the 8-lane width; k = 768
+  // is the embedding dimension the index scan runs at.
+  for (const size_t k : {80ul, 768ul}) {
+    for (const size_t m : {1ul, 7ul, 8ul, 9ul, 16ul, 17ul}) {
+      for (const size_t n : {1ul, 2ul, 3ul}) {
+        const Matrix a = RandomMatrix(m, k, 300 + m * 7 + n);
+        const Matrix b = RandomMatrix(n, k, 400 + m * 7 + n);
+        for (const bool guard_a : {true, false}) {
+          const ember::testutil::GuardedPanel guarded(guard_a ? a : b);
+          const float* pa = guard_a ? guarded.data() : a.data();
+          const float* pb = guard_a ? b.data() : guarded.data();
+          std::vector<float> c(m * n);
+          GemmBtStrided(pa, m, k, pb, n, k, k, c.data(), n);
+          for (size_t i = 0; i < m; ++i) {
+            for (size_t j = 0; j < n; ++j) {
+              EXPECT_EQ(c[i * n + j], Dot(a.Row(i), b.Row(j), k))
+                  << "m=" << m << " n=" << n << " k=" << k << " ("
+                  << i << "," << j << ") guarded "
+                  << (guard_a ? "a" : "b");
+            }
+          }
         }
       }
     }
