@@ -3,10 +3,10 @@
 # in both, run the fault-injection suites (fault + stream + recover
 # failpoints) and an $EMBER_FAILPOINTS env smoke under ASan, run the
 # concurrency suites under ThreadSanitizer (batcher/serve/fault/router/
-# stream/recover repeated until-fail:3), prove the
+# stream/recover/load/index repeated until-fail:3), prove the
 # -DEMBER_FAILPOINTS_ENABLED=OFF build, then smoke-run the micro-benchmarks
 # and the serving/resilience/observability/streaming/recovery benches on the
-# Release build
+# Release build, smoke the perf ledger
 # (stream-dedup holds an incremental-F1 floor; the recovery drill must
 # converge, and must fail closed with recover/replay armed), run the
 # workload-harness smokes (trace-record byte-identity, trace-replay digest
@@ -74,14 +74,15 @@ EMBER_FAILPOINTS="snapshot/save=error:io" \
 # adding coverage. serve/fault/stream repeat until-fail:3 to shake out
 # schedule-dependent races in the breaker/reload/hot-swap machinery; the
 # stream suite includes compaction and reload swaps under live mutation
-# traffic.
+# traffic. index repeats too: the exact scan's grid cells write one shared
+# per-slab partial buffer from pool threads.
 echo "==> configure build-tsan (EMBER_SANITIZE=tsan)"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DEMBER_SANITIZE=tsan >/dev/null
 echo "==> build build-tsan"
-cmake --build build-tsan -j "${JOBS}" --target parallel_test batcher_test serve_test fault_test determinism_test obs_test router_test stream_test recover_test load_test
-echo "==> ctest build-tsan (parallel/determinism once; batcher/serve/fault/router/stream/recover/load x3)"
+cmake --build build-tsan -j "${JOBS}" --target parallel_test batcher_test serve_test fault_test determinism_test obs_test router_test stream_test recover_test load_test index_test
+echo "==> ctest build-tsan (parallel/determinism once; batcher/serve/fault/router/stream/recover/load/index x3)"
 (cd build-tsan && ctest --output-on-failure -R '^(parallel|determinism)_test$')
-(cd build-tsan && ctest --output-on-failure --repeat until-fail:3 -R '^(batcher|serve|fault|obs|router|stream|recover|load)_test$')
+(cd build-tsan && ctest --output-on-failure --repeat until-fail:3 -R '^(batcher|serve|fault|obs|router|stream|recover|load|index)_test$')
 
 # Coverage leg: Debug + gcov, run the obs/serve/stream/la suites, and hold
 # the line on the subsystems this repo treats as infrastructure — src/obs,
@@ -126,6 +127,11 @@ echo "==> build build-nofp"
 cmake --build build-nofp -j "${JOBS}" --target serve_test fault_test stream_test recover_test load_test exp22_serving ember_cli
 echo "==> ctest build-nofp (serve/fault/stream/recover/load)"
 (cd build-nofp && ctest --output-on-failure -R '^(serve|fault|stream|recover|load)_test$')
+
+echo "==> perf ledger smoke (Release)"
+# Builds perf_ledger under .bench_build/ and runs every workload at tiny
+# scale, traced and untraced; fails on a missing metric or a failed check.
+python3 bench/ledger/run.py --smoke
 
 echo "==> exp20 micro-kernel smoke (Release)"
 ./build-release/bench/exp20_micro_kernels --benchmark_min_time=0.01

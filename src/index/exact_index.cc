@@ -182,7 +182,8 @@ std::vector<Neighbor> ExactIndex::Query(const float* query, size_t k) const {
     std::vector<Neighbor> approx(RescoreWidth(kept, data_.rows()));
     TopK top(approx.data(), approx.size());
     for (size_t r = 0; r < data_.rows(); ++r) {
-      const int32_t d = la::DotI8(codes.data(), quantized_.Row(r), data_.cols());
+      const int32_t d =
+          la::DotI8(codes.data(), quantized_.Row(r), data_.cols());
       top.Offer(static_cast<uint32_t>(r),
                 1.f - la::ApproxDot(qp, quantized_.Params(r), d, data_.cols()));
     }
@@ -211,9 +212,6 @@ std::vector<std::vector<Neighbor>> ExactIndex::QueryBatchQuantized(
   obs::Span span("index/exact_query_batch_i8");
   span.AddCount("queries", queries.rows());
   span.AddCount("corpus_rows", data_.rows());
-  if (data_.rows() == 0) {
-    return std::vector<std::vector<Neighbor>>(queries.rows());
-  }
   const size_t kept = std::min(k, data_.rows());
   const size_t cols = data_.cols();
 
@@ -229,7 +227,7 @@ std::vector<std::vector<Neighbor>> ExactIndex::QueryBatchQuantized(
   // The merged top-`width` per query is then rescored against float rows.
   const auto score = [&](size_t q0, size_t q1, size_t r0, size_t r1,
                          TopK* tops) {
-    int32_t scores[kQueryBlock * kDataBlock];
+    int32_t scores[kQueryBlock * kDataBlock] = {};
     for (size_t start = r0; start < r1; start += kDataBlock) {
       const size_t n = std::min(start + kDataBlock, r1) - start;
       la::GemmBtI8Strided(codes.data() + q0 * cols, q1 - q0, cols,
@@ -247,8 +245,8 @@ std::vector<std::vector<Neighbor>> ExactIndex::QueryBatchQuantized(
     }
   };
   return ScanGrid(queries.rows(), data_.rows(),
-                  RescoreWidth(kept, data_.rows()), "index/exact_score_chunk_i8",
-                  span.context(), score,
+                  RescoreWidth(kept, data_.rows()),
+                  "index/exact_score_chunk_i8", span.context(), score,
                   [&](size_t q, std::vector<Neighbor> approx) {
                     return RescoreWithFloat(data_, queries.Row(q),
                                             std::move(approx), kept);
@@ -269,7 +267,7 @@ std::vector<std::vector<Neighbor>> BruteForceTopK(const la::Matrix& data,
   // data block, bit-identical to Dot() per pair.
   const auto score = [&](size_t q0, size_t q1, size_t r0, size_t r1,
                          TopK* tops) {
-    float scores[kQueryBlock * kDataBlock];
+    float scores[kQueryBlock * kDataBlock] = {};
     for (size_t start = r0; start < r1; start += kDataBlock) {
       const size_t n = std::min(start + kDataBlock, r1) - start;
       la::GemmBtStrided(queries.Row(q0), q1 - q0, cols, data.Row(start), n,

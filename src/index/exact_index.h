@@ -15,20 +15,22 @@ class BinaryWriter;
 namespace ember::index {
 
 /// Brute-force top-k of every `queries` row against the rows of `data`
-/// (ascending cosine distance, ties by ascending id), parallelized over
-/// query tiles. This is ExactIndex::QueryBatch without the ownership — the
-/// serving layer's degraded mode scans another index's corpus matrix with
-/// it, bit-identically to a real ExactIndex over the same data.
+/// (ascending cosine distance, ties by ascending id), parallelized over a
+/// fixed grid of 16-query tiles x 1024-row corpus slabs whose per-slab
+/// top-k lists are merged per query (DESIGN.md §8). Reads both matrices in
+/// place, so either may be a Matrix::View. This is ExactIndex::QueryBatch
+/// without the ownership — the serving layer's degraded mode, the sharded
+/// merge and the live delta scan all call it, bit-identically to a real
+/// ExactIndex over the same data.
 std::vector<std::vector<Neighbor>> BruteForceTopK(const la::Matrix& data,
                                                   const la::Matrix& queries,
                                                   size_t k);
 
-/// Brute-force cosine index. Scoring is cache-blocked: batched queries tile
-/// (query block x data block) through the GemmBt micro-kernel, which
-/// accumulates every score in exactly the scalar Dot() order — so the
-/// blocked path returns bit-identical results to the naive per-pair scan,
-/// and QueryBatch is bit-identical at every thread count (each query owns
-/// its result slot; the data scan order never changes).
+/// Brute-force cosine index. Batched scoring runs the grid of
+/// BruteForceTopK through the GemmBt micro-kernel, which accumulates every
+/// score in exactly the scalar Dot() order, and the slab merge keeps the
+/// total (distance, id) order — so QueryBatch returns bit-identical results
+/// to the naive per-pair scan (Query) at every thread count.
 class ExactIndex {
  public:
   /// Takes the data by value: pass an lvalue to copy, or std::move the
@@ -56,11 +58,13 @@ class ExactIndex {
   const la::QuantizedMatrix& quantized_matrix() const { return quantized_; }
 
   /// Top-k by ascending cosine distance, ties by ascending id. Returns
-  /// min(k, size()) neighbors.
+  /// min(k, size()) neighbors. A one-pass scalar scan (Dot / DotI8 per
+  /// row), bit-identical to QueryBatch.
   std::vector<Neighbor> Query(const float* query, size_t k) const;
 
-  /// Batched queries, parallelized over per-query chunks of the global
-  /// thread pool with one top-k heap per query.
+  /// Batched queries over the BruteForceTopK grid (query tiles x corpus
+  /// slabs on the global thread pool). The int8 tier shares the grid with
+  /// an integer cell scorer and rescores each merged candidate list.
   std::vector<std::vector<Neighbor>> QueryBatch(const la::Matrix& queries,
                                                 size_t k) const;
 
